@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 # cast_possible_truncation is a workspace-level warn (see [workspace.lints])
 # surfaced for review but not yet a build failure; everything else is -D.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast_possible_truncation

@@ -4,9 +4,10 @@
 //! library crates that back `yv serve`, wall-clock hygiene (S1) of
 //! everything except the one crate sanctioned to own the wall clock
 //! (`yv-obs`), float hygiene (F1) of persistence and protocol code, and
-//! hash-order determinism (D1) everywhere. Files whose path does not
-//! identify a workspace crate (e.g. audit fixtures) get every rule — the
-//! conservative default.
+//! hash-order determinism (D1) everywhere. Test, bench and example code —
+//! including the standalone `perfbench/` benchmark — is exempt. Files whose
+//! path does not identify a workspace crate (e.g. audit fixtures) get every
+//! rule — the conservative default.
 
 /// Crates whose non-test code must be panic-free (P1).
 const P1_CRATES: [&str; 7] = ["core", "blocking", "mfi", "store", "similarity", "adt", "obs"];
@@ -90,7 +91,7 @@ impl FileProfile {
         let components: Vec<&str> = norm.split('/').collect();
         if components
             .iter()
-            .any(|c| matches!(*c, "tests" | "benches" | "examples"))
+            .any(|c| matches!(*c, "tests" | "benches" | "examples" | "perfbench"))
         {
             return FileProfile::none_test();
         }
@@ -174,6 +175,10 @@ mod tests {
         assert!(p.test_file && !p.d1 && !p.p1);
         let b = FileProfile::for_path("crates/similarity/benches/jw.rs");
         assert!(b.test_file);
+        // The standalone end-to-end benchmark is bench code too: it times
+        // with the wall clock and casts counts into rates.
+        let pb = FileProfile::for_path("perfbench/src/phases.rs");
+        assert!(pb.test_file && !pb.s1 && !pb.c1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::args::Args;
 use crate::bench_compare::{self, CompareConfig};
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use yv_blocking::{audit, mfi_blocks, mfi_blocks_recorded, MfiBlocksConfig};
 use yv_core::{PersonProfile, PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig, Generated};
@@ -265,13 +266,20 @@ pub fn bench(args: &Args) -> CliResult {
     total.finish();
     let peak = registry.gauge("yv_pipeline_peak_alloc_bytes", "").get();
 
-    let (add_single_us, add_multi_us) = bench_concurrent_adds(&gen, &pipeline, &config, &registry)?;
+    // Every store the stages build lives under this run's own directory,
+    // so concurrent `bench` runs never share (or delete) each other's
+    // stores; dropping it removes them all.
+    let scratch = ScratchDir::new("yv-bench")?;
+    let root = scratch.path();
+    let (add_single_us, add_multi_us) =
+        bench_concurrent_adds(root, &gen, &pipeline, &config, &registry)?;
     let (resolve_summary, resolve_candidates) =
-        bench_resolve(&gen, &pipeline, &config, &registry)?;
+        bench_resolve(root, &gen, &pipeline, &config, &registry)?;
     let (trace_disabled_us, trace_enabled_us) =
-        bench_trace_overhead(&gen, &pipeline, &config, &registry)?;
+        bench_trace_overhead(root, &gen, &pipeline, &config, &registry)?;
     let (serve_text_per_s, serve_binary_per_s) =
-        bench_serve_protocols(&gen, &pipeline, &config, &registry)?;
+        bench_serve_protocols(root, &gen, &pipeline, &config, &registry)?;
+    drop(scratch);
 
     const STAGES: &[&str] =
         &["preprocess", "train", "blocking", "extract", "score", "resolve", "total"];
@@ -331,6 +339,38 @@ pub fn bench(args: &Args) -> CliResult {
     }
 }
 
+/// A fresh directory under the system temp dir, removed with everything
+/// in it on drop. The name pairs the process id with a process-wide
+/// counter, and creation refuses an existing path, so no two live
+/// `ScratchDir`s ever share one.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(prefix: &str) -> Result<ScratchDir, String> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Ok(()) => return Ok(ScratchDir(dir)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(format!("cannot create {}: {e}", dir.display())),
+            }
+        }
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 /// Writer threads in the concurrent-ADD bench stage, and the shard count
 /// of its multi-shard store.
 const BENCH_ADD_THREADS: usize = 4;
@@ -344,6 +384,7 @@ const BENCH_ADD_ARRIVALS: usize = 120;
 /// `yv_store_concurrent_add_{single,multi}_us` gauges are the regression
 /// guard on that advantage.
 fn bench_concurrent_adds(
+    root: &Path,
     gen: &Generated,
     pipeline: &Pipeline,
     config: &PipelineConfig,
@@ -365,9 +406,7 @@ fn bench_concurrent_adds(
     let clock = yv_obs::MonotonicClock::new();
     let mut timings = [0u64; 2];
     for (slot, shards) in [(0usize, 1usize), (1, BENCH_ADD_THREADS)] {
-        let dir = std::env::temp_dir().join("yv-bench-store").join(format!("{shards}-shard"));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).map_err(err)?;
+        let dir = root.join(format!("{shards}-shard"));
         let resolver = yv_core::IncrementalResolver::bootstrap(
             clone_ds(),
             pipeline.clone(),
@@ -432,6 +471,7 @@ const BENCH_RESOLVE_ROUNDS: usize = 3;
 /// examined — a pure function of the corpus, so the compare gate pins
 /// the pruning behaviour exactly).
 fn bench_resolve(
+    root: &Path,
     gen: &Generated,
     pipeline: &Pipeline,
     config: &PipelineConfig,
@@ -463,9 +503,7 @@ fn bench_resolve(
         return Err("resolve bench found no probe names".to_owned());
     }
 
-    let dir = std::env::temp_dir().join("yv-bench-store").join("resolve");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).map_err(err)?;
+    let dir = root.join("resolve");
     let resolver = yv_core::IncrementalResolver::bootstrap(
         clone_dataset(ds),
         pipeline.clone(),
@@ -533,6 +571,7 @@ const BENCH_TRACE_REPS: usize = 4;
 /// than 5% of the traced p50 (plus an absolute floor so micro-latency
 /// jitter cannot flake).
 fn bench_trace_overhead(
+    root: &Path,
     gen: &Generated,
     pipeline: &Pipeline,
     config: &PipelineConfig,
@@ -557,9 +596,7 @@ fn bench_trace_overhead(
         return Err("trace-overhead bench found no query names".to_owned());
     }
 
-    let dir = std::env::temp_dir().join("yv-bench-store").join("trace-overhead");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).map_err(err)?;
+    let dir = root.join("trace-overhead");
     let resolver = yv_core::IncrementalResolver::bootstrap(
         clone_dataset(ds),
         pipeline.clone(),
@@ -681,6 +718,7 @@ const BENCH_SERVE_WINDOW: usize = 4;
 /// wire must clear 3x the text rate in-process: below that, batching has
 /// stopped paying for its framing and the stage fails the bench.
 fn bench_serve_protocols(
+    root: &Path,
     gen: &Generated,
     pipeline: &Pipeline,
     config: &PipelineConfig,
@@ -692,9 +730,7 @@ fn bench_serve_protocols(
     let mut rates = [0u64; 2];
     let mut elapsed = [0u64; 2];
     for (slot, mode) in [(0usize, "text"), (1, "binary")] {
-        let dir = std::env::temp_dir().join("yv-bench-store").join(format!("serve-{mode}"));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).map_err(err)?;
+        let dir = root.join(format!("serve-{mode}"));
         let resolver = yv_core::IncrementalResolver::bootstrap(
             clone_dataset(&gen.dataset),
             pipeline.clone(),

@@ -958,21 +958,24 @@ fn parse_hit(line: &str) -> Result<QueryHit, ClientError> {
 }
 
 /// Parse one `CAND entity=N score=S name=X members=A,B,C` data line.
+/// Names may contain spaces (`della torre`), so the name is everything
+/// between `name=` and the last ` members=`, not a single token.
 fn parse_cand(line: &str) -> Result<ResolveRow, ClientError> {
     let malformed = || ClientError::Protocol(format!("malformed CAND line {line:?}"));
     if !line.starts_with("CAND ") {
         return Err(malformed());
     }
-    let members: String = field(line, "members")?;
+    let (head, members) = line.rsplit_once(" members=").ok_or_else(malformed)?;
+    let (head, name) = head.split_once(" name=").ok_or_else(malformed)?;
     let members = members
         .split(',')
         .map(|r| r.parse().map(RecordId))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|_| malformed())?;
     Ok(ResolveRow {
-        entity: RecordId(field(line, "entity")?),
-        score: field(line, "score")?,
-        name: field::<String>(line, "name")?,
+        entity: RecordId(field(head, "entity")?),
+        score: field(head, "score")?,
+        name: name.to_owned(),
         members,
     })
 }
@@ -1297,6 +1300,10 @@ mod tests {
         assert!((row.score - 0.6125).abs() < 1e-12);
         assert_eq!(row.name, "levi");
         assert_eq!(row.members, vec![RecordId(17), RecordId(203)]);
+        let row = parse_cand("CAND entity=4 score=0.5 name=della torre members=4,9")
+            .expect("multi-word name");
+        assert_eq!(row.name, "della torre");
+        assert_eq!(row.members, vec![RecordId(4), RecordId(9)]);
         assert!(parse_cand("CAND entity=17 score=0.5 name=levi").is_err());
         assert!(parse_cand("HIT seed=17 entity=1").is_err());
         assert!(parse_cand("CAND entity=17 score=x name=levi members=17").is_err());

@@ -1,4 +1,5 @@
-//! Deterministic binary encoding for store payloads.
+//! Deterministic binary encoding for store payloads, and the one framing
+//! codec every store file and the binary wire share.
 //!
 //! Hand-rolled like `yv_adt::persist` (the workspace's serde derives are
 //! offline stubs — see `vendor/README.md`). Every encoder is paired with a
@@ -6,21 +7,328 @@
 //! `f64::to_bits` so that encode ∘ decode ∘ encode is byte-identical,
 //! which is what makes the snapshot round-trip test
 //! (`save(load(save(x))) == save(x)`) meaningful.
+//!
+//! The WAL, the telemetry segments and the binary wire all carry the same
+//! frame, written by [`Framing::encode`] and read by [`Framing::read`]:
+//!
+//! ```text
+//! u8      tag
+//! u64     sequence number (WAL only)
+//! u32     payload length
+//! bytes   payload
+//! u64     FNV-1a 64 over tag ‖ sequence number ‖ payload
+//! ```
+//!
+//! A [`Framing`] names the only two ways the three formats differ: whether
+//! the sequence field is present, and what an incomplete frame means
+//! ([`Tail`]). Files open with a [`FileHeader`] (8 magic bytes and a u32
+//! format version), and the two log files are appended through one
+//! [`LogFile`] handle.
 
 use crate::error::StoreError;
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Read, Seek as _, SeekFrom, Write as _};
+use std::path::Path;
 use yv_records::field::{DateParts, Gender, GeoPoint, Place};
 use yv_records::{Record, RecordId, Source, SourceId};
 use yv_similarity::ExpertWeights;
 
-/// FNV-1a 64-bit — the checksum guarding snapshot payloads and WAL frames.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continue an FNV-1a 64 hash over more bytes.
+fn fnv_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// FNV-1a 64-bit — the checksum guarding snapshot payloads and frames, and
+/// the shard-routing and privacy-digest hash.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv_update(FNV_OFFSET, bytes)
+}
+
+// ---------------------------------------------------------------- framing
+
+/// Bytes of the checksum trailer closing every frame.
+pub const TRAILER_LEN: usize = 8;
+
+/// Ceiling on a single wire frame's payload. Generous enough for a
+/// `BATCH_ADD` of tens of thousands of records, small enough that a
+/// corrupt length prefix cannot ask the peer to allocate gigabytes.
+pub const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
+
+/// What an incomplete frame means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tail {
+    /// Log files: an incomplete final frame is how a crash mid-append
+    /// looks (a length prefix pointing past the end of the file
+    /// included), so reading stops cleanly before it and reopening the
+    /// log truncates it.
+    Stop,
+    /// The wire: a stream ending mid-frame is a typed
+    /// `StoreError::Corrupt("torn frame: ...")`, and a length prefix over
+    /// [`MAX_PAYLOAD`] is refused before anything is allocated for it.
+    Refuse,
+}
+
+/// The two parameters of the shared frame layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Framing {
+    /// An 8-byte little-endian sequence number sits between the tag and
+    /// the length, covered by the checksum.
+    pub seq: bool,
+    pub tail: Tail,
+}
+
+impl Framing {
+    /// Write-ahead log frames: sequenced, torn tail is a clean stop.
+    pub const WAL: Framing = Framing { seq: true, tail: Tail::Stop };
+    /// Telemetry segment frames: unsequenced, torn tail is a clean stop.
+    pub const LOG: Framing = Framing { seq: false, tail: Tail::Stop };
+    /// Binary wire frames: unsequenced, torn frame is an error.
+    pub const WIRE: Framing = Framing { seq: false, tail: Tail::Refuse };
+
+    /// Bytes before the payload: tag, the optional sequence number, length.
+    #[must_use]
+    pub const fn header_len(self) -> usize {
+        if self.seq {
+            13
+        } else {
+            5
+        }
+    }
+
+    /// The checksum a frame's trailer must carry. `seq` is ignored when
+    /// the framing has no sequence field.
+    #[must_use]
+    pub fn checksum(self, tag: u8, seq: u64, payload: &[u8]) -> u64 {
+        let mut hash = fnv_update(FNV_OFFSET, &[tag]);
+        if self.seq {
+            hash = fnv_update(hash, &seq.to_le_bytes());
+        }
+        fnv_update(hash, payload)
+    }
+
+    /// Encode one complete frame: header, payload, checksum trailer.
+    pub fn encode(self, tag: u8, seq: u64, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+        let too_long = || StoreError::LimitExceeded { what: "frame payload", len: payload.len() };
+        let len = u32::try_from(payload.len()).map_err(|_| too_long())?;
+        if self.tail == Tail::Refuse && len > MAX_PAYLOAD {
+            return Err(too_long());
+        }
+        let mut out = Vec::with_capacity(self.header_len() + payload.len() + TRAILER_LEN);
+        out.push(tag);
+        if self.seq {
+            out.extend_from_slice(&seq.to_le_bytes());
+        }
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&self.checksum(tag, seq, payload).to_le_bytes());
+        Ok(out)
+    }
+
+    /// Read one frame off a stream.
+    ///
+    /// - `Ok(None)`: the stream ended at a frame boundary or, under
+    ///   [`Tail::Stop`], inside a torn final frame.
+    /// - `StoreError::Corrupt("torn frame: ...")`: under [`Tail::Refuse`],
+    ///   the stream ended mid-frame; nothing of the frame may be acted on.
+    /// - `StoreError::LimitExceeded`: under [`Tail::Refuse`], the length
+    ///   prefix exceeds [`MAX_PAYLOAD`].
+    /// - `StoreError::ChecksumMismatch`: a complete frame whose trailer
+    ///   does not match its bytes.
+    pub fn read<R: Read>(self, r: &mut R) -> Result<Option<Frame>, StoreError> {
+        let mut buf = [0u8; 13];
+        let header = &mut buf[..self.header_len()];
+        match fill(r, header)? {
+            0 => return Ok(None),
+            n if n < header.len() => return self.torn("header"),
+            _ => {}
+        }
+        let mut h = Reader::new(header);
+        let tag = h.u8("frame tag")?;
+        let seq = if self.seq { h.u64("frame seq")? } else { 0 };
+        let len = h.u32("frame length")?;
+        if self.tail == Tail::Refuse && len > MAX_PAYLOAD {
+            return Err(StoreError::LimitExceeded { what: "frame payload", len: len as usize });
+        }
+        // Bounded reservation: a log's length prefix is only believed as
+        // far as the bytes actually behind it.
+        let mut payload = Vec::with_capacity(len.min(MAX_PAYLOAD) as usize);
+        r.by_ref().take(u64::from(len)).read_to_end(&mut payload)?;
+        if payload.len() < len as usize {
+            return self.torn("payload");
+        }
+        let mut trailer = [0u8; TRAILER_LEN];
+        if fill(r, &mut trailer)? < TRAILER_LEN {
+            return self.torn("checksum trailer");
+        }
+        let expected = u64::from_le_bytes(trailer);
+        let actual = self.checksum(tag, seq, &payload);
+        if expected != actual {
+            return Err(StoreError::ChecksumMismatch { expected, actual });
+        }
+        Ok(Some(Frame { tag, seq, payload }))
+    }
+
+    /// The tail decision for a stream that ended inside a frame.
+    fn torn(self, what: &str) -> Result<Option<Frame>, StoreError> {
+        match self.tail {
+            Tail::Stop => Ok(None),
+            Tail::Refuse => {
+                Err(StoreError::Corrupt(format!("torn frame: stream ended mid-{what}")))
+            }
+        }
+    }
+}
+
+/// Checksum of an unsequenced (telemetry or wire) frame: FNV-1a 64 over
+/// the tag byte followed by the payload.
+#[must_use]
+pub fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
+    Framing::WIRE.checksum(tag, 0, payload)
+}
+
+/// One checksum-verified frame. `seq` is 0 for unsequenced framings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    pub tag: u8,
+    pub seq: u64,
+    pub payload: Vec<u8>,
+}
+
+/// Read until `buf` is full or the stream ends; returns the bytes read.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, StoreError> {
+    let mut n = 0;
+    while n < buf.len() {
+        match r.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(StoreError::Io(e)),
+        }
+    }
+    Ok(n)
+}
+
+/// The header opening every store file: 8 magic bytes, then the format
+/// version as a little-endian u32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileHeader {
+    pub magic: [u8; 8],
+    pub version: u32,
+}
+
+impl FileHeader {
+    /// Encoded header length.
+    pub const LEN: usize = 12;
+
+    pub fn write(self, w: &mut Writer) {
+        w.bytes(&self.magic);
+        w.u32(self.version);
+    }
+
+    /// Check the header at the start of `bytes` and return what follows
+    /// it. A file too short to hold a header has no magic.
+    pub fn check(self, bytes: &[u8]) -> Result<&[u8], StoreError> {
+        let mut r = Reader::new(bytes);
+        let (Ok(magic), Ok(version)) = (r.array::<8>("magic"), r.u32("format version")) else {
+            return Err(StoreError::BadMagic);
+        };
+        if magic != self.magic {
+            return Err(StoreError::BadMagic);
+        }
+        if version != self.version {
+            return Err(StoreError::UnsupportedVersion { found: version, supported: self.version });
+        }
+        Ok(r.rest())
+    }
+}
+
+/// A log file read back: the decoded frames in file order, the byte
+/// length of the valid prefix (header plus complete frames), and whether
+/// a torn final frame followed it.
+#[derive(Debug)]
+pub struct LogScan<T> {
+    pub entries: Vec<T>,
+    pub valid_len: usize,
+    pub torn: bool,
+}
+
+/// Scan a whole log file: check the header, read frames up to the end or
+/// the torn tail, and decode each one.
+pub fn scan_log<T>(
+    bytes: &[u8],
+    header: FileHeader,
+    framing: Framing,
+    mut decode: impl FnMut(Frame) -> Result<T, StoreError>,
+) -> Result<LogScan<T>, StoreError> {
+    let mut rest = header.check(bytes)?;
+    let mut entries = Vec::new();
+    let mut valid_len = FileHeader::LEN;
+    while let Some(frame) = framing.read(&mut rest)? {
+        valid_len += framing.header_len() + frame.payload.len() + TRAILER_LEN;
+        entries.push(decode(frame)?);
+    }
+    Ok(LogScan { entries, valid_len, torn: valid_len < bytes.len() })
+}
+
+/// Append handle over a framed log file (a WAL, a telemetry segment).
+#[derive(Debug)]
+pub struct LogFile {
+    file: File,
+    framing: Framing,
+    /// On-disk byte length (header plus complete frames), tracked so
+    /// callers can report log growth without a filesystem round trip.
+    bytes: u64,
+}
+
+impl LogFile {
+    /// Create a log holding only its header, truncating any existing
+    /// file, and sync it to disk.
+    pub fn create(path: &Path, header: FileHeader, framing: Framing) -> Result<LogFile, StoreError> {
+        let mut w = Writer::new();
+        header.write(&mut w);
+        let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
+        file.write_all(&w.into_bytes())?;
+        file.sync_all()?;
+        Ok(LogFile { file, framing, bytes: FileHeader::LEN as u64 })
+    }
+
+    /// Open an existing log for appending: verify every complete frame,
+    /// truncate a torn tail and position after the last complete frame.
+    pub fn open(path: &Path, header: FileHeader, framing: Framing) -> Result<LogFile, StoreError> {
+        let valid_len = scan_log(&std::fs::read(path)?, header, framing, |_| Ok(()))?.valid_len;
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(valid_len as u64)?;
+        file.seek(SeekFrom::End(0))?;
+        Ok(LogFile { file, framing, bytes: valid_len as u64 })
+    }
+
+    /// Append one frame. It is not durable until [`LogFile::sync`].
+    pub fn append(&mut self, tag: u8, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
+        let frame = self.framing.encode(tag, seq, payload)?;
+        self.file.write_all(&frame)?;
+        self.bytes += frame.len() as u64;
+        Ok(())
+    }
+
+    /// Force every appended frame to disk.
+    pub fn sync(&mut self) -> Result<(), StoreError> {
+        self.file.sync_data()?;
+        Ok(())
+    }
+
+    /// Current on-disk byte length: header plus every complete frame.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
 }
 
 // ---------------------------------------------------------------- writer
@@ -44,6 +352,11 @@ impl Writer {
 
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Raw bytes, no length prefix.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
     pub fn u32(&mut self, v: u32) {
@@ -148,7 +461,13 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
+    /// Everything not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// The next `n` raw bytes.
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::Corrupt(format!(
                 "truncated while reading {what}: need {n} bytes, have {}",
@@ -186,6 +505,25 @@ impl<'a> Reader<'a> {
 
     pub fn f64(&mut self, what: &str) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    pub fn bool(&mut self, what: &str) -> Result<bool, StoreError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(StoreError::Corrupt(format!("bad bool value {t} for {what}"))),
+        }
+    }
+
+    /// Require the payload to be fully consumed: bytes left over after a
+    /// successful decode are corruption, not padding.
+    pub fn finish(&self, what: &str) -> Result<(), StoreError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(StoreError::Corrupt(format!(
+                "trailing garbage: {n} byte(s) left after decoding {what}"
+            ))),
+        }
     }
 
     pub fn str(&mut self, what: &str) -> Result<String, StoreError> {

@@ -3,8 +3,9 @@
 //! A fresh connection speaks the line protocol (`protocol.rs`) until the
 //! client's *first* request is the literal line `HELLO proto=binary`. The
 //! server acknowledges with a normal text response block and from that
-//! point on the same socket carries length-prefixed frames in both
-//! directions — the same codec family as the WAL and telemetry files:
+//! point on the same socket carries frames in both directions — the
+//! shared codec frame of the WAL and telemetry files, without the
+//! sequence field ([`Framing::WIRE`]):
 //!
 //! ```text
 //! +-----+-------------+----------------+---------------------+
@@ -14,7 +15,7 @@
 //!
 //! The checksum covers the tag byte and the payload, so a flipped bit
 //! anywhere in a complete frame is a [`StoreError::ChecksumMismatch`],
-//! a connection cut mid-frame is a torn-tail [`StoreError::Corrupt`]
+//! a connection cut mid-frame is a torn-frame [`StoreError::Corrupt`]
 //! (distinct from the clean EOF between frames), and payload bytes left
 //! over after a successful decode are trailing garbage, also
 //! [`StoreError::Corrupt`]. Request payloads reuse the store codec's
@@ -29,9 +30,10 @@
 //! [`ResponseFrame::Batch`], answering the binary-only `BATCH_ADD`
 //! request with one status per record in request order.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::Read;
 
-use crate::codec::{self, fnv1a64, Reader, Writer};
+use crate::codec::{self, Framing, Reader, Writer};
+pub use crate::codec::{frame_checksum, MAX_PAYLOAD, TRAILER_LEN};
 use crate::error::StoreError;
 use crate::protocol::{Request, DEFAULT_TOP_SLOW};
 use crate::store::DEFAULT_RESOLVE_K;
@@ -47,16 +49,8 @@ pub const HELLO_LINE: &str = "HELLO proto=binary";
 /// text response block: this line, no data lines, the `.` terminator).
 pub const HELLO_OK: &str = "OK hello proto=binary";
 
-/// Ceiling on a single frame's payload. Generous enough for a
-/// `BATCH_ADD` of tens of thousands of records, small enough that a
-/// corrupt length prefix cannot ask the peer to allocate gigabytes.
-pub const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
-
 /// Frame header bytes: tag (1) + payload length (4).
-pub const HEADER_LEN: usize = 5;
-
-/// Checksum trailer bytes.
-pub const TRAILER_LEN: usize = 8;
+pub const HEADER_LEN: usize = Framing::WIRE.header_len();
 
 // Request tags.
 const TAG_QUERY: u8 = 0x01;
@@ -181,7 +175,7 @@ impl RequestFrame {
 
     /// Encode into a complete frame (header + payload + checksum).
     pub fn encode(&self) -> Result<Vec<u8>, StoreError> {
-        encode_frame(self.tag(), &self.payload()?)
+        Framing::WIRE.encode(self.tag(), 0, &self.payload()?)
     }
 
     /// Decode a request payload for a known tag. Rejects unknown tags,
@@ -221,7 +215,7 @@ impl RequestFrame {
             TAG_TOP => RequestFrame::Top { k: r.opt_u32("TOP k")? },
             TAG_TRACE => RequestFrame::Trace {
                 id: r.u64("TRACE id")?,
-                json: read_bool(&mut r, "TRACE format")?,
+                json: r.bool("TRACE format")?,
             },
             TAG_HISTORY => RequestFrame::History {
                 metric: r.str("HISTORY metric")?,
@@ -234,7 +228,7 @@ impl RequestFrame {
                         return Err(StoreError::Corrupt(format!("bad HISTORY tier code {t}")))
                     }
                 },
-                json: read_bool(&mut r, "HISTORY format")?,
+                json: r.bool("HISTORY format")?,
             },
             TAG_SNAPSHOT => RequestFrame::Snapshot,
             TAG_SHUTDOWN => RequestFrame::Shutdown,
@@ -242,7 +236,7 @@ impl RequestFrame {
                 return Err(StoreError::Corrupt(format!("unknown request frame tag {other:#04x}")))
             }
         };
-        expect_drained(&r, "request frame")?;
+        r.finish("request frame")?;
         Ok(frame)
     }
 
@@ -314,10 +308,7 @@ impl RequestFrame {
     /// Read one request frame off a stream. `Ok(None)` is a clean close
     /// at a frame boundary; every other shortfall is a typed error.
     pub fn read<R: Read>(r: &mut R) -> Result<Option<RequestFrame>, StoreError> {
-        match read_raw_frame(r)? {
-            None => Ok(None),
-            Some((tag, payload)) => Ok(Some(RequestFrame::decode(tag, &payload)?)),
-        }
+        Framing::WIRE.read(r)?.map(|f| RequestFrame::decode(f.tag, &f.payload)).transpose()
     }
 }
 
@@ -359,7 +350,7 @@ impl ResponseFrame {
 
     /// Encode into a complete frame (header + payload + checksum).
     pub fn encode(&self) -> Result<Vec<u8>, StoreError> {
-        encode_frame(self.tag(), &self.payload()?)
+        Framing::WIRE.encode(self.tag(), 0, &self.payload()?)
     }
 
     /// Decode a response payload for a known tag.
@@ -392,116 +383,14 @@ impl ResponseFrame {
                 )))
             }
         };
-        expect_drained(&r, "response frame")?;
+        r.finish("response frame")?;
         Ok(frame)
     }
 
     /// Read one response frame off a stream. `Ok(None)` is a clean close
     /// at a frame boundary.
     pub fn read<R: Read>(r: &mut R) -> Result<Option<ResponseFrame>, StoreError> {
-        match read_raw_frame(r)? {
-            None => Ok(None),
-            Some((tag, payload)) => Ok(Some(ResponseFrame::decode(tag, &payload)?)),
-        }
-    }
-}
-
-/// Assemble a complete frame: header, payload, checksum trailer.
-fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| StoreError::LimitExceeded { what: "frame payload", len: payload.len() })?;
-    if len > MAX_PAYLOAD {
-        return Err(StoreError::LimitExceeded { what: "frame payload", len: payload.len() });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.push(tag);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(tag, payload).to_le_bytes());
-    Ok(out)
-}
-
-/// The checksum a frame's trailer must carry: FNV-1a 64 over the tag
-/// byte followed by the payload (the WAL's discipline, minus the seq).
-#[must_use]
-pub fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
-    let mut bytes = Vec::with_capacity(1 + payload.len());
-    bytes.push(tag);
-    bytes.extend_from_slice(payload);
-    fnv1a64(&bytes)
-}
-
-/// Write a pre-encoded frame to a stream (no flush; callers decide when
-/// to flush so pipelined writes can coalesce).
-pub fn write_frame<W: Write>(w: &mut W, frame_bytes: &[u8]) -> Result<(), StoreError> {
-    w.write_all(frame_bytes)?;
-    Ok(())
-}
-
-/// Read one raw frame (tag + verified payload) off a stream.
-///
-/// - `Ok(None)`: the peer closed cleanly at a frame boundary.
-/// - `StoreError::Corrupt("torn frame: ...")`: the connection died
-///   mid-frame — the unread tail must not be acted on.
-/// - `StoreError::LimitExceeded`: the length prefix exceeds
-///   [`MAX_PAYLOAD`] (refused before allocating).
-/// - `StoreError::ChecksumMismatch`: a complete frame whose trailer does
-///   not match its bytes.
-pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, StoreError> {
-    let mut tag_buf = [0u8; 1];
-    loop {
-        match r.read(&mut tag_buf) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(StoreError::Io(e)),
-        }
-    }
-    let tag = tag_buf[0];
-    let mut len_buf = [0u8; 4];
-    read_exact_or_torn(r, &mut len_buf, "length prefix")?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_PAYLOAD {
-        return Err(StoreError::LimitExceeded { what: "frame payload", len: len as usize });
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_torn(r, &mut payload, "payload")?;
-    let mut sum_buf = [0u8; 8];
-    read_exact_or_torn(r, &mut sum_buf, "checksum trailer")?;
-    let expected = u64::from_le_bytes(sum_buf);
-    let actual = frame_checksum(tag, &payload);
-    if expected != actual {
-        return Err(StoreError::ChecksumMismatch { expected, actual });
-    }
-    Ok(Some((tag, payload)))
-}
-
-fn read_exact_or_torn<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<(), StoreError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == ErrorKind::UnexpectedEof {
-            StoreError::Corrupt(format!("torn frame: connection closed mid-{what}"))
-        } else {
-            StoreError::Io(e)
-        }
-    })
-}
-
-fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, StoreError> {
-    match r.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(StoreError::Corrupt(format!("bad bool value {t} for {what}"))),
-    }
-}
-
-fn expect_drained(r: &Reader<'_>, what: &str) -> Result<(), StoreError> {
-    if r.remaining() == 0 {
-        Ok(())
-    } else {
-        Err(StoreError::Corrupt(format!(
-            "trailing garbage: {} byte(s) left after decoding {what}",
-            r.remaining()
-        )))
+        Framing::WIRE.read(r)?.map(|f| ResponseFrame::decode(f.tag, &f.payload)).transpose()
     }
 }
 
@@ -615,7 +504,7 @@ mod tests {
         let mut payload = Vec::new();
         payload.extend_from_slice(&RequestFrame::Stats.payload().unwrap());
         payload.push(0xAB);
-        let framed = encode_frame(TAG_STATS, &payload).unwrap();
+        let framed = Framing::WIRE.encode(TAG_STATS, 0, &payload).unwrap();
         let mut cursor = Cursor::new(framed);
         match RequestFrame::read(&mut cursor) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("trailing garbage"), "{msg}"),
@@ -636,7 +525,7 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_corrupt_on_both_sides() {
-        let framed = encode_frame(0x7f, &[]).unwrap();
+        let framed = Framing::WIRE.encode(0x7f, 0, &[]).unwrap();
         let mut cursor = Cursor::new(framed.clone());
         assert!(matches!(RequestFrame::read(&mut cursor), Err(StoreError::Corrupt(_))));
         let mut cursor = Cursor::new(framed);

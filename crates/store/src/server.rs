@@ -46,6 +46,7 @@
 //! so `HISTORY`/`METRICS` stay correct under a [`yv_obs::ManualClock`]
 //! where the ticker never observes time moving.
 
+use crate::codec::{Frame, Framing};
 use crate::error::StoreError;
 use crate::frame;
 use crate::protocol::{self, CommandStats, Request};
@@ -1150,8 +1151,8 @@ fn handle_binary_connection(
     ctx: &ServerCtx<'_>,
 ) {
     loop {
-        let (tag, payload) = match frame::read_raw_frame(reader) {
-            Ok(Some(raw)) => raw,
+        let Frame { tag, payload, .. } = match Framing::WIRE.read(reader) {
+            Ok(Some(frame)) => frame,
             Ok(None) => return, // clean close at a frame boundary
             Err(_) => {
                 ctx.metrics.parse_errors.incr();

@@ -33,7 +33,7 @@
 //! is how the shard-identity tests compare an N-shard store against a
 //! 1-shard control without caring how the records were partitioned.
 
-use crate::codec::{self, Reader, Writer};
+use crate::codec::{self, FileHeader, Reader, Writer};
 use crate::error::StoreError;
 use std::path::Path;
 use yv_blocking::{MfiBlocksConfig, ScoreFunction};
@@ -109,62 +109,33 @@ pub fn segment_to_bytes(
     Ok(frame(SEGMENT_MAGIC, p.into_bytes()))
 }
 
-/// Wrap a payload in the magic/version/length/checksum frame shared by
-/// the base and segment formats.
+/// Wrap a payload in the header/length/checksum frame shared by the base
+/// and segment formats.
 fn frame(magic: [u8; 8], payload: Vec<u8>) -> Vec<u8> {
     let mut out = Writer::new();
-    for b in magic {
-        out.u8(b);
-    }
-    out.u32(VERSION);
+    FileHeader { magic, version: VERSION }.write(&mut out);
     out.u64(payload.len() as u64);
-    let checksum = codec::fnv1a64(&payload);
-    let mut bytes = out.into_bytes();
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    out.bytes(&payload);
+    out.u64(codec::fnv1a64(&payload));
+    out.into_bytes()
 }
 
 fn len_u32(len: usize, what: &'static str) -> Result<u32, StoreError> {
     u32::try_from(len).map_err(|_| StoreError::LimitExceeded { what, len })
 }
 
-/// Unwrap the magic/version/length/checksum frame, returning the payload.
-fn unframe<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], StoreError> {
-    let mut r = Reader::new(bytes);
-    let mut found = [0u8; 8];
-    for slot in &mut found {
-        *slot = r.u8("magic")?;
-    }
-    if &found != magic {
-        return Err(StoreError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: VERSION });
-    }
+/// Unwrap the header/length/checksum frame, returning the payload.
+fn unframe(bytes: &[u8], magic: [u8; 8]) -> Result<&[u8], StoreError> {
+    let mut r = Reader::new(FileHeader { magic, version: VERSION }.check(bytes)?);
     let payload_len = usize::try_from(r.u64("payload length")?)
         .map_err(|_| StoreError::Corrupt("declared payload length overflows usize".to_owned()))?;
-    if r.remaining() < payload_len + 8 {
-        return Err(StoreError::Corrupt(format!(
-            "file shorter than declared payload: need {} bytes, have {}",
-            payload_len + 8,
-            r.remaining()
-        )));
-    }
-    let payload = &bytes[bytes.len() - r.remaining()..][..payload_len];
-    let mut trailer = Reader::new(&bytes[bytes.len() - r.remaining() + payload_len..]);
-    let expected = trailer.u64("checksum")?;
+    let payload = r.take(payload_len, "payload")?;
+    let expected = r.u64("checksum")?;
     let actual = codec::fnv1a64(payload);
     if expected != actual {
         return Err(StoreError::ChecksumMismatch { expected, actual });
     }
-    if trailer.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after checksum",
-            trailer.remaining()
-        )));
-    }
+    r.finish("snapshot checksum")?;
     Ok(payload)
 }
 
@@ -172,7 +143,7 @@ fn unframe<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], StoreError>
 /// checksum mismatches and matches referencing records beyond the
 /// declared count, all with typed errors.
 pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
-    let payload = unframe(bytes, &MAGIC)?;
+    let payload = unframe(bytes, MAGIC)?;
     let mut p = Reader::new(payload);
     let n_sources = p.u32("source count")?;
     let mut sources = Vec::with_capacity((n_sources as usize).min(p.remaining()));
@@ -201,12 +172,7 @@ pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
             .map_err(|_| StoreError::Corrupt("min_shared_items overflows usize".into()))?,
         common_fraction: p.f64("common fraction")?,
     };
-    if p.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after payload",
-            p.remaining()
-        )));
-    }
+    p.finish("snapshot base payload")?;
     Ok(BaseSnapshot {
         sources,
         n_records,
@@ -222,7 +188,7 @@ pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
 pub fn segment_from_bytes(
     bytes: &[u8],
 ) -> Result<(usize, Vec<(RecordId, Record)>), StoreError> {
-    let payload = unframe(bytes, &SEGMENT_MAGIC)?;
+    let payload = unframe(bytes, SEGMENT_MAGIC)?;
     let mut p = Reader::new(payload);
     let shard = p.u32("shard index")? as usize;
     let count = p.u32("segment entry count")?;
@@ -232,12 +198,7 @@ pub fn segment_from_bytes(
         let record = codec::read_record(&mut p)?;
         entries.push((rid, record));
     }
-    if p.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after segment payload",
-            p.remaining()
-        )));
-    }
+    p.finish("snapshot segment payload")?;
     Ok((shard, entries))
 }
 
@@ -295,8 +256,8 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
     let prune_common = r.opt_f64("prune common")?;
     let threads = usize::try_from(r.u64("threads")?)
         .map_err(|_| StoreError::Corrupt("threads overflows usize".into()))?;
-    let same_src_discard = bool_flag(r.u8("same src discard")?, "same src discard")?;
-    let classify = bool_flag(r.u8("classify")?, "classify")?;
+    let same_src_discard = r.bool("same src discard")?;
+    let classify = r.bool("classify")?;
     let rounds = usize::try_from(r.u64("train rounds")?)
         .map_err(|_| StoreError::Corrupt("rounds overflows usize".into()))?;
     let max_thresholds = usize::try_from(r.u64("max thresholds")?)
@@ -316,14 +277,6 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
         classify,
         train: yv_adt::TrainConfig { rounds, max_thresholds, epsilon },
     })
-}
-
-fn bool_flag(v: u8, what: &str) -> Result<bool, StoreError> {
-    match v {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(StoreError::Corrupt(format!("bad bool {t} for {what}"))),
-    }
 }
 
 /// Write bytes atomically: to a sibling temp file, then rename over the

@@ -5,26 +5,21 @@
 //! `DIR/telemetry.yvt`, so `HISTORY` survives a restart: on startup the
 //! log is replayed into the in-memory rings before the server listens.
 //!
-//! The file reuses the WAL codec discipline (see [`crate::wal`]) but is
+//! The file is framed like the WAL (see [`crate::codec`]) but is
 //! deliberately *fsync-light*: telemetry is best-effort history, not
 //! durability-critical state, so frames are written without a per-frame
 //! `sync_data` and the file is only synced when a segment rotates.
 //!
-//! Layout:
+//! The segment opens with the magic `"YVTELEM1"` and format version 1;
+//! each frame is the shared codec frame without a sequence field, tag 1
+//! (closed bucket), carrying:
 //!
 //! ```text
-//! 8 bytes   magic  "YVTELEM1"
-//! u32       format version (currently 1)
-//! frames:
-//!   u8      frame tag (1 = closed bucket)
-//!   u32     payload length
-//!   bytes   payload:
-//!             str   metric (command kind, e.g. "query" — never a name)
-//!             u8    tier code (0 = seconds, 1 = minutes)
-//!             u64   bucket epoch
-//!             u8    non-empty bucket count N, then N × (u8 index, u64 count)
-//!             u64   sum_ns, u64 max_ns, u64 min_ns
-//!   u64     FNV-1a 64 checksum of tag + payload
+//! str   metric (command kind, e.g. "query" — never a name)
+//! u8    tier code (0 = seconds, 1 = minutes)
+//! u64   bucket epoch
+//! u8    non-empty bucket count N, then N × (u8 index, u64 count)
+//! u64   sum_ns, u64 max_ns, u64 min_ns
 //! ```
 //!
 //! A truncated final frame (crash or power loss mid-append) is a clean
@@ -34,10 +29,8 @@
 //! a fresh segment is started — replay reads the old generation first, so
 //! at most `2 × cap` bytes of history are ever kept.
 
-use crate::codec::{self, Reader, Writer};
+use crate::codec::{self, FileHeader, Frame, Framing, LogFile, Reader, Writer};
 use crate::error::StoreError;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use yv_obs::{ClosedBucket, HistogramSnapshot, Tier, BUCKET_COUNT};
 
@@ -53,16 +46,16 @@ pub const SEGMENT: &str = "telemetry.yvt";
 /// Rotated previous generation.
 pub const OLD_SEGMENT: &str = "telemetry.old.yvt";
 
+const HEADER: FileHeader = FileHeader { magic: MAGIC, version: VERSION };
+const HEADER_LEN: u64 = FileHeader::LEN as u64;
 const TAG_BUCKET: u8 = 1;
-const HEADER_LEN: u64 = 12;
 
 /// Append handle over the active telemetry segment.
 #[derive(Debug)]
 pub struct TelemetryLog {
     path: PathBuf,
     old_path: PathBuf,
-    file: File,
-    bytes: u64,
+    log: LogFile,
     cap: u64,
     rotations: u64,
     frames: u64,
@@ -74,26 +67,25 @@ impl TelemetryLog {
     pub fn open(dir: &Path, cap: u64) -> Result<TelemetryLog, StoreError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(SEGMENT);
-        let old_path = dir.join(OLD_SEGMENT);
-        let (file, bytes) = if path.exists() {
-            let bytes = std::fs::read(&path)?;
-            let valid = scan(&bytes)?.valid_len;
-            let file = OpenOptions::new().write(true).open(&path)?;
-            file.set_len(valid as u64)?;
-            let mut file = file;
-            use std::io::Seek as _;
-            file.seek(std::io::SeekFrom::End(0))?;
-            (file, valid as u64)
+        let log = if path.exists() {
+            LogFile::open(&path, HEADER, Framing::LOG)?
         } else {
-            (fresh_segment(&path)?, HEADER_LEN)
+            LogFile::create(&path, HEADER, Framing::LOG)?
         };
-        Ok(TelemetryLog { path, old_path, file, bytes, cap: cap.max(HEADER_LEN + 64), rotations: 0, frames: 0 })
+        Ok(TelemetryLog {
+            path,
+            old_path: dir.join(OLD_SEGMENT),
+            log,
+            cap: cap.max(HEADER_LEN + 64),
+            rotations: 0,
+            frames: 0,
+        })
     }
 
     /// Bytes in the active segment (header plus complete frames).
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 
     /// Segment rotations performed by this handle.
@@ -114,20 +106,9 @@ impl TelemetryLog {
         if bucket.delta.count() == 0 {
             return Ok(());
         }
-        let payload = encode_bucket(metric, bucket)?;
-        let len = u32::try_from(payload.len()).map_err(|_| StoreError::LimitExceeded {
-            what: "telemetry frame payload",
-            len: payload.len(),
-        })?;
-        let mut frame = Vec::with_capacity(payload.len() + 13);
-        frame.push(TAG_BUCKET);
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&frame_checksum(TAG_BUCKET, &payload).to_le_bytes());
-        self.file.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
+        self.log.append(TAG_BUCKET, 0, &encode_bucket(metric, bucket)?)?;
         self.frames += 1;
-        if self.bytes > self.cap {
+        if self.log.bytes() > self.cap {
             self.rotate()?;
         }
         Ok(())
@@ -136,21 +117,12 @@ impl TelemetryLog {
     /// Retire the full active segment to `telemetry.old.yvt` and start a
     /// fresh one. The only fsync point in the log's life.
     fn rotate(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data()?;
+        self.log.sync()?;
         std::fs::rename(&self.path, &self.old_path)?;
-        self.file = fresh_segment(&self.path)?;
-        self.bytes = HEADER_LEN;
+        self.log = LogFile::create(&self.path, HEADER, Framing::LOG)?;
         self.rotations += 1;
         Ok(())
     }
-}
-
-fn fresh_segment(path: &Path) -> Result<File, StoreError> {
-    let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-    file.write_all(&MAGIC)?;
-    file.write_all(&VERSION.to_le_bytes())?;
-    file.sync_all()?;
-    Ok(file)
 }
 
 fn encode_bucket(metric: &str, bucket: &ClosedBucket) -> Result<Vec<u8>, StoreError> {
@@ -178,8 +150,11 @@ fn encode_bucket(metric: &str, bucket: &ClosedBucket) -> Result<Vec<u8>, StoreEr
     Ok(w.into_bytes())
 }
 
-fn decode_bucket(payload: &[u8]) -> Result<(String, ClosedBucket), StoreError> {
-    let mut r = Reader::new(payload);
+fn decode_bucket(frame: Frame) -> Result<(String, ClosedBucket), StoreError> {
+    if frame.tag != TAG_BUCKET {
+        return Err(StoreError::Corrupt(format!("unknown telemetry frame tag {}", frame.tag)));
+    }
+    let mut r = Reader::new(&frame.payload);
     let metric = r.str("telemetry metric")?;
     let tier_code = r.u8("telemetry tier")?;
     let tier = Tier::from_code(tier_code)
@@ -197,72 +172,8 @@ fn decode_bucket(payload: &[u8]) -> Result<(String, ClosedBucket), StoreError> {
     delta.sum_ns = r.u64("telemetry sum_ns")?;
     delta.max_ns = r.u64("telemetry max_ns")?;
     delta.min_ns = r.u64("telemetry min_ns")?;
-    if r.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes in telemetry frame",
-            r.remaining()
-        )));
-    }
+    r.finish("telemetry frame")?;
     Ok((metric, ClosedBucket { tier, epoch, delta }))
-}
-
-/// The frame checksum covers the tag and the payload.
-fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
-    let mut hashed = Vec::with_capacity(payload.len() + 1);
-    hashed.push(tag);
-    hashed.extend_from_slice(payload);
-    codec::fnv1a64(&hashed)
-}
-
-/// Result of scanning one segment: decoded frames in file order plus the
-/// byte length of the valid prefix (a torn tail is a clean stop).
-#[derive(Debug)]
-struct Scan {
-    frames: Vec<(String, ClosedBucket)>,
-    valid_len: usize,
-}
-
-fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
-    if bytes.len() < 12 || bytes[..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(
-        bytes[8..12].try_into().map_err(|_| StoreError::Corrupt("truncated version".into()))?,
-    );
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let mut frames = Vec::new();
-    let mut pos = 12;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 5 {
-            break; // end of file, or a torn frame header
-        }
-        let tag = rest[0];
-        let len = u32::from_le_bytes(
-            rest[1..5].try_into().map_err(|_| StoreError::Corrupt("truncated frame length".into()))?,
-        ) as usize;
-        let Some(frame_rest) = rest.get(5..5 + len + 8) else {
-            break; // torn tail: payload or checksum incomplete
-        };
-        let payload = &frame_rest[..len];
-        let expected = u64::from_le_bytes(
-            frame_rest[len..]
-                .try_into()
-                .map_err(|_| StoreError::Corrupt("truncated frame checksum".into()))?,
-        );
-        let actual = frame_checksum(tag, payload);
-        if expected != actual {
-            return Err(StoreError::ChecksumMismatch { expected, actual });
-        }
-        if tag != TAG_BUCKET {
-            return Err(StoreError::Corrupt(format!("unknown telemetry frame tag {tag}")));
-        }
-        frames.push(decode_bucket(payload)?);
-        pos += 5 + len + 8;
-    }
-    Ok(Scan { frames, valid_len: pos })
 }
 
 /// Replay both generations (old first) into `(metric, bucket)` pairs in
@@ -274,9 +185,8 @@ pub fn replay(dir: &Path) -> Result<Vec<(String, ClosedBucket)>, StoreError> {
         if !path.exists() {
             continue;
         }
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        out.extend(scan(&bytes)?.frames);
+        let bytes = std::fs::read(&path)?;
+        out.extend(codec::scan_log(&bytes, HEADER, Framing::LOG, decode_bucket)?.entries);
     }
     Ok(out)
 }

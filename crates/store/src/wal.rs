@@ -13,18 +13,11 @@
 //! assigned in apply order, the merge must be gapless (see
 //! [`crate::StoreError::ShardWalGap`]).
 //!
-//! Layout:
-//!
-//! ```text
-//! 8 bytes   magic  "YVWAL\0\0\0"
-//! u32       format version (currently 2)
-//! frames:
-//!   u8      entry tag (1 = record, 2 = source)
-//!   u64     global arrival sequence number
-//!   u32     payload length
-//!   bytes   payload (codec-encoded record / source)
-//!   u64     FNV-1a 64 checksum of tag + seq + payload
-//! ```
+//! Each frame is the shared codec frame (see [`crate::codec`]) with the
+//! sequence field: `u8` entry tag (1 = record, 2 = source), `u64` global
+//! arrival sequence number, `u32` payload length, the codec-encoded record
+//! or source, and an FNV-1a 64 checksum of tag + seq + payload. The file
+//! opens with the magic `"YVWAL\0\0\0"` and format version 2.
 //!
 //! A *truncated* final frame is how a crash mid-append looks; replay
 //! treats it as a clean stop (surfaced via [`WalScan::torn`] so the store
@@ -32,10 +25,8 @@
 //! next append overwrites it. A frame that is complete but fails its
 //! checksum is real corruption and surfaces as a typed error.
 
-use crate::codec::{self, Reader, Writer};
+use crate::codec::{self, FileHeader, Frame, Framing, LogFile, LogScan, Reader, Writer};
 use crate::error::StoreError;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
 use yv_records::{Record, Source};
 
@@ -44,6 +35,8 @@ pub const MAGIC: [u8; 8] = *b"YVWAL\0\0\0";
 /// The WAL format version this build reads and writes. Version 1 frames
 /// carried no sequence number and cannot be merged across shards.
 pub const VERSION: u32 = 2;
+
+const HEADER: FileHeader = FileHeader { magic: MAGIC, version: VERSION };
 
 const TAG_RECORD: u8 = 1;
 const TAG_SOURCE: u8 = 2;
@@ -55,62 +48,41 @@ pub enum WalEntry {
     Source(Source),
 }
 
-/// Byte length of the file header (magic + version).
-const HEADER_LEN: u64 = 12;
-
 /// Result of scanning one WAL file: the complete frames (with their
 /// global sequence numbers, in file order), the byte length of the valid
 /// prefix, and whether a torn (incomplete) final frame followed it.
-#[derive(Debug)]
-pub struct WalScan {
-    pub entries: Vec<(u64, WalEntry)>,
-    pub valid_len: usize,
-    pub torn: bool,
-}
+pub type WalScan = LogScan<(u64, WalEntry)>;
 
 /// Append handle over a WAL file.
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
-    /// On-disk byte length (header plus complete frames), tracked so
-    /// `STATS` and the metrics scrape report WAL growth without a
-    /// filesystem round trip.
-    bytes: u64,
+    log: LogFile,
 }
 
 impl Wal {
     /// Create a fresh (empty) log, truncating any existing file.
     pub fn create(path: &Path) -> Result<Wal, StoreError> {
-        let mut file =
-            OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-        file.write_all(&MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.sync_all()?;
-        Ok(Wal { file, bytes: HEADER_LEN })
+        Ok(Wal { log: LogFile::create(path, HEADER, Framing::WAL)? })
     }
 
     /// Open an existing log for appending, positioned after the last
     /// complete frame (a torn tail from a crash is overwritten).
     pub fn open(path: &Path) -> Result<Wal, StoreError> {
-        let bytes = std::fs::read(path)?;
-        let valid_len = scan(&bytes)?.valid_len;
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len as u64)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Wal { file, bytes: valid_len as u64 })
+        Ok(Wal { log: LogFile::open(path, HEADER, Framing::WAL)? })
     }
 
-    /// Current on-disk byte length: header plus every complete frame.
+    /// Current on-disk byte length: header plus every complete frame,
+    /// tracked so `STATS` and the metrics scrape report WAL growth
+    /// without a filesystem round trip.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 
     /// Append a record frame stamped with its global arrival sequence.
     pub fn append_record(&mut self, seq: u64, record: &Record) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        codec::write_record(&mut w, record)?;
-        self.append_frame(TAG_RECORD, seq, &w.into_bytes(), true)
+        self.append_record_nosync(seq, record)?;
+        self.sync()
     }
 
     /// Append a record frame without forcing it to disk — group-commit
@@ -123,58 +95,23 @@ impl Wal {
     ) -> Result<(), StoreError> {
         let mut w = Writer::new();
         codec::write_record(&mut w, record)?;
-        self.append_frame(TAG_RECORD, seq, &w.into_bytes(), false)
+        self.log.append(TAG_RECORD, seq, &w.into_bytes())
     }
 
     /// Append a source frame stamped with its global arrival sequence.
     pub fn append_source(&mut self, seq: u64, source: &Source) -> Result<(), StoreError> {
         let mut w = Writer::new();
         codec::write_source(&mut w, source)?;
-        self.append_frame(TAG_SOURCE, seq, &w.into_bytes(), true)
+        self.log.append(TAG_SOURCE, seq, &w.into_bytes())?;
+        self.sync()
     }
 
     /// Force every appended frame to disk. One call per batch is the
     /// whole point of group commit: a 256-record `BATCH_ADD` pays one
     /// `sync_data` where per-record appends would pay 256.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data()?;
-        Ok(())
+        self.log.sync()
     }
-
-    fn append_frame(
-        &mut self,
-        tag: u8,
-        seq: u64,
-        payload: &[u8],
-        sync: bool,
-    ) -> Result<(), StoreError> {
-        let len = u32::try_from(payload.len()).map_err(|_| StoreError::LimitExceeded {
-            what: "WAL frame payload",
-            len: payload.len(),
-        })?;
-        let mut frame = Vec::with_capacity(payload.len() + 21);
-        frame.push(tag);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&frame_checksum(tag, seq, payload).to_le_bytes());
-        self.file.write_all(&frame)?;
-        if sync {
-            self.file.sync_data()?;
-        }
-        self.bytes += frame.len() as u64;
-        Ok(())
-    }
-}
-
-/// The frame checksum covers the tag, the sequence number and the
-/// payload, so a bitflip in any of them is caught.
-fn frame_checksum(tag: u8, seq: u64, payload: &[u8]) -> u64 {
-    let mut hashed = Vec::with_capacity(payload.len() + 9);
-    hashed.push(tag);
-    hashed.extend_from_slice(&seq.to_le_bytes());
-    hashed.extend_from_slice(payload);
-    codec::fnv1a64(&hashed)
 }
 
 /// Replay a WAL file into `(seq, entry)` pairs, in file order. A
@@ -186,79 +123,18 @@ pub fn replay(path: &Path) -> Result<Vec<(u64, WalEntry)>, StoreError> {
 
 /// Scan a WAL file: entries, valid prefix length, torn-tail flag.
 pub fn scan_file(path: &Path) -> Result<WalScan, StoreError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    scan(&bytes)
+    codec::scan_log(&std::fs::read(path)?, HEADER, Framing::WAL, decode)
 }
 
-/// Parse the log bytes.
-fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
-    if bytes.len() < 12 {
-        return Err(StoreError::BadMagic);
-    }
-    if bytes[..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = le_u32(&bytes[8..12], "format version")?;
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let mut entries = Vec::new();
-    let mut pos = 12;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            break;
-        }
-        // Frame header: tag + seq + length. Shorter than that = torn tail.
-        if rest.len() < 13 {
-            break;
-        }
-        let tag = rest[0];
-        let seq = le_u64(&rest[1..9], "frame seq")?;
-        let len = le_u32(&rest[9..13], "frame length")? as usize;
-        let Some(frame_rest) = rest.get(13..13 + len + 8) else {
-            break; // torn tail: payload or checksum incomplete
-        };
-        let payload = &frame_rest[..len];
-        let expected = le_u64(&frame_rest[len..], "frame checksum")?;
-        let actual = frame_checksum(tag, seq, payload);
-        if expected != actual {
-            return Err(StoreError::ChecksumMismatch { expected, actual });
-        }
-        let mut r = Reader::new(payload);
-        let entry = match tag {
-            TAG_RECORD => WalEntry::Record(Box::new(codec::read_record(&mut r)?)),
-            TAG_SOURCE => WalEntry::Source(codec::read_source(&mut r)?),
-            t => return Err(StoreError::Corrupt(format!("unknown WAL entry tag {t}"))),
-        };
-        if r.remaining() != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{} trailing bytes in WAL frame",
-                r.remaining()
-            )));
-        }
-        entries.push((seq, entry));
-        pos += 13 + len + 8;
-    }
-    Ok(WalScan { entries, valid_len: pos, torn: pos < bytes.len() })
-}
-
-/// Little-endian u32 from an exactly-sized slice; callers bound-check for
-/// torn-tail handling first, so a short slice here is corruption.
-fn le_u32(bytes: &[u8], what: &str) -> Result<u32, StoreError> {
-    bytes
-        .try_into()
-        .map(u32::from_le_bytes)
-        .map_err(|_| StoreError::Corrupt(format!("truncated {what}")))
-}
-
-/// Little-endian u64, same contract as [`le_u32`].
-fn le_u64(bytes: &[u8], what: &str) -> Result<u64, StoreError> {
-    bytes
-        .try_into()
-        .map(u64::from_le_bytes)
-        .map_err(|_| StoreError::Corrupt(format!("truncated {what}")))
+fn decode(frame: Frame) -> Result<(u64, WalEntry), StoreError> {
+    let mut r = Reader::new(&frame.payload);
+    let entry = match frame.tag {
+        TAG_RECORD => WalEntry::Record(Box::new(codec::read_record(&mut r)?)),
+        TAG_SOURCE => WalEntry::Source(codec::read_source(&mut r)?),
+        t => return Err(StoreError::Corrupt(format!("unknown WAL entry tag {t}"))),
+    };
+    r.finish("WAL frame")?;
+    Ok((frame.seq, entry))
 }
 
 #[cfg(test)]
@@ -405,7 +281,7 @@ mod tests {
         payload_frame.extend_from_slice(&0u64.to_le_bytes());
         payload_frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         payload_frame.extend_from_slice(payload);
-        payload_frame.extend_from_slice(&frame_checksum(tag, 0, payload).to_le_bytes());
+        payload_frame.extend_from_slice(&Framing::WAL.checksum(tag, 0, payload).to_le_bytes());
         std::fs::write(&path, &payload_frame).unwrap();
         assert!(matches!(replay(&path), Err(StoreError::Corrupt(_))));
 
