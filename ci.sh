@@ -6,6 +6,10 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test --workspace -q
+# The benchmark under perfbench/ is a workspace of its own, so the line
+# above never compiles it; build and test it against the crates here so an
+# API change under crates/ cannot break it unnoticed.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # cast_possible_truncation is a workspace-level warn (see [workspace.lints])
 # surfaced for review but not yet a build failure; everything else is -D.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast_possible_truncation

@@ -5,7 +5,7 @@
 //! enumeration is exponential in the number of items shared by duplicate
 //! records.
 
-use crate::fptree::FpTree;
+use crate::fptree::{FpTree, Scratch};
 use crate::maximal::Itemset;
 
 /// Mine all frequent itemsets (support ≥ `minsup`) from the given item
@@ -16,7 +16,7 @@ pub fn mine_frequent(bags: &[Vec<u32>], minsup: u64) -> Vec<Itemset> {
     assert!(minsup >= 1, "minsup must be at least 1");
     let tree = FpTree::build(bags.iter().map(|b| (b.as_slice(), 1)), minsup);
     let mut out = Vec::new();
-    grow(&tree, &mut Vec::new(), minsup, &mut out);
+    grow(&tree, &mut Vec::new(), minsup, &mut out, &mut Scratch::default());
     for set in &mut out {
         set.items.sort_unstable();
     }
@@ -24,18 +24,22 @@ pub fn mine_frequent(bags: &[Vec<u32>], minsup: u64) -> Vec<Itemset> {
     out
 }
 
-fn grow(tree: &FpTree, prefix: &mut Vec<u32>, minsup: u64, out: &mut Vec<Itemset>) {
+fn grow(
+    tree: &FpTree,
+    prefix: &mut Vec<u32>,
+    minsup: u64,
+    out: &mut Vec<Itemset>,
+    scratch: &mut Scratch,
+) {
     for rank in tree.ranks_ascending_frequency() {
         let support = tree.rank_count(rank);
         debug_assert!(support >= minsup);
         prefix.push(tree.item_of(rank));
         out.push(Itemset { items: prefix.clone(), support });
-        let base = tree.conditional_base(rank);
-        if !base.is_empty() {
-            let cond = FpTree::build(base.iter().map(|(p, w)| (p.as_slice(), *w)), minsup);
-            if !cond.is_empty() {
-                grow(&cond, prefix, minsup, out);
-            }
+        let order = tree.conditional_order(rank, minsup, scratch);
+        if !order.is_empty() {
+            let cond = tree.conditional_from(rank, &order, scratch);
+            grow(&cond, prefix, minsup, out, scratch);
         }
         prefix.pop();
     }

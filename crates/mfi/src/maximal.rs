@@ -11,8 +11,25 @@
 //!    largest itemset that branch could produce (`prefix ∪ all items in the
 //!    conditional tree`) is checked against the MFI set; subsumed branches
 //!    are skipped wholesale.
+//!
+//! Conditional trees are built in rank space ([`FpTree::conditional`]):
+//! conditional supports are counted into a dense array over the parent's
+//! ranks, and the head check runs on the conditionally frequent items
+//! before any node of the subtree is allocated.
+//!
+//! **The MFI set is append-only.** A candidate is recorded exactly when
+//! no recorded set contains it, and no recorded set is ever removed. This
+//! is exact for this depth-first order: the conditional base of rank `r`
+//! holds only ranks more frequent than `r` in that tree, and the ranks of
+//! a tree are visited least frequent first. So every candidate of a later
+//! sibling branch lacks the item of each earlier branch at that level
+//! (and, by induction, at every level above it), and no later candidate
+//! can strictly contain an earlier one. A recorded candidate is therefore
+//! maximal: the search covers every MFI by some candidate, and one
+//! strictly containing it would come either earlier (and would have
+//! subsumed it) or later (which the order rules out).
 
-use crate::fptree::FpTree;
+use crate::fptree::{FpTree, Scratch};
 
 /// A mined itemset: sorted item ids and the number of supporting
 /// transactions.
@@ -52,65 +69,41 @@ pub fn is_subset(small: &[u32], big: &[u32]) -> bool {
 /// checks: `postings[item]` lists the recorded sets containing `item`, so
 /// a subsumption test only inspects sets sharing the candidate's rarest
 /// item instead of the whole collection (large minsup-2 runs record
-/// hundreds of thousands of MFIs).
+/// hundreds of thousands of MFIs). Append-only: the DFS order never
+/// produces a superset of a recorded set (see the module docs).
 #[derive(Debug, Default)]
 struct MfiSet {
-    /// Tombstoned storage: superseded sets become `None`.
-    slots: Vec<Option<Itemset>>,
-    postings: std::collections::HashMap<u32, Vec<u32>>,
-    live: usize,
+    sets: Vec<Itemset>,
+    /// Indexes into `sets`, per item id.
+    postings: Vec<Vec<u32>>,
 }
 
 impl MfiSet {
     /// True when `candidate` (sorted) is a subset of an already-recorded
     /// MFI.
     fn subsumed(&self, candidate: &[u32]) -> bool {
-        let Some(rarest) = candidate
-            .iter()
-            .min_by_key(|i| self.postings.get(i).map_or(0, Vec::len))
+        let postings = |item: u32| self.postings.get(item as usize).map_or(&[][..], Vec::as_slice);
+        let Some(rarest) = candidate.iter().map(|&i| postings(i)).min_by_key(|list| list.len())
         else {
             return false; // the empty set is never recorded
         };
-        let Some(list) = self.postings.get(rarest) else {
-            return false;
-        };
-        list.iter().any(|&idx| {
-            self.slots[idx as usize]
-                .as_ref()
-                .is_some_and(|m| is_subset(candidate, &m.items))
-        })
+        rarest.iter().any(|&idx| is_subset(candidate, &self.sets[idx as usize].items))
     }
 
-    /// Insert a candidate known to be frequent; drops recorded sets it
-    /// strictly contains. No-op when subsumed.
+    /// Record a frequent candidate unless a recorded set contains it.
     fn insert(&mut self, items: Vec<u32>, support: u64) {
         if self.subsumed(&items) {
             return;
         }
-        // Tombstone subsets of the new set: any such subset shares the new
-        // set's first item or... every item of the subset is in `items`,
-        // so scanning the postings of each new item finds them all.
+        let idx = self.sets.len() as u32;
         for &item in &items {
-            if let Some(list) = self.postings.get(&item) {
-                for &idx in list {
-                    let slot = &mut self.slots[idx as usize];
-                    if slot.as_ref().is_some_and(|m| is_subset(&m.items, &items)) {
-                        *slot = None;
-                        self.live -= 1;
-                    }
-                }
+            let item = item as usize;
+            if item >= self.postings.len() {
+                self.postings.resize_with(item + 1, Vec::new);
             }
+            self.postings[item].push(idx);
         }
-        let idx = self.slots.len() as u32;
-        for &item in &items {
-            self.postings.entry(item).or_default().push(idx);
-        }
-        self.slots.push(Some(Itemset { items, support }));
-        self.live += 1;
-    }
-
-    fn into_sets(self) -> Vec<Itemset> {
-        self.slots.into_iter().flatten().collect()
+        self.sets.push(Itemset { items, support });
     }
 }
 
@@ -123,13 +116,24 @@ pub fn mine_maximal(bags: &[Vec<u32>], minsup: u64) -> Vec<Itemset> {
     assert!(minsup >= 1, "minsup must be at least 1");
     let tree = FpTree::build(bags.iter().map(|b| (b.as_slice(), 1)), minsup);
     let mut mfis = MfiSet::default();
-    fpmax(&tree, &mut Vec::new(), minsup, &mut mfis);
-    let mut out = mfis.into_sets();
+    fpmax(&tree, &mut Vec::new(), minsup, &mut mfis, &mut Scratch::default());
+    let mut out = mfis.sets;
     out.sort();
     out
 }
 
-fn fpmax(tree: &FpTree, prefix: &mut Vec<u32>, minsup: u64, mfis: &mut MfiSet) {
+fn sorted(mut items: Vec<u32>) -> Vec<u32> {
+    items.sort_unstable();
+    items
+}
+
+fn fpmax(
+    tree: &FpTree,
+    prefix: &mut Vec<u32>,
+    minsup: u64,
+    mfis: &mut MfiSet,
+    scratch: &mut Scratch,
+) {
     if tree.is_empty() {
         return;
     }
@@ -141,37 +145,25 @@ fn fpmax(tree: &FpTree, prefix: &mut Vec<u32>, minsup: u64, mfis: &mut MfiSet) {
         // ≥ minsup (infrequent items never enter the tree).
         let mut items = prefix.clone();
         items.extend(path.iter().map(|&(rank, _)| tree.item_of(rank)));
-        items.sort_unstable();
         let support = path.last().map_or(0, |&(_, c)| c);
         if !items.is_empty() {
-            mfis.insert(items, support);
+            mfis.insert(sorted(items), support);
         }
         return;
     }
     for rank in tree.ranks_ascending_frequency() {
-        let item = tree.item_of(rank);
-        let support = tree.rank_count(rank);
-        prefix.push(item);
-        let base = tree.conditional_base(rank);
-        if base.is_empty() {
-            let mut items = prefix.clone();
-            items.sort_unstable();
-            mfis.insert(items, support);
+        prefix.push(tree.item_of(rank));
+        let order = tree.conditional_order(rank, minsup, scratch);
+        if order.is_empty() {
+            mfis.insert(sorted(prefix.clone()), tree.rank_count(rank));
         } else {
-            let cond = FpTree::build(base.iter().map(|(p, w)| (p.as_slice(), *w)), minsup);
-            if cond.is_empty() {
-                let mut items = prefix.clone();
-                items.sort_unstable();
-                mfis.insert(items, support);
-            } else {
-                // Head pruning: the largest set this branch can produce.
-                let mut head = prefix.clone();
-                head.extend((0..cond.n_ranks()).map(|r| cond.item_of(r)));
-                head.sort_unstable();
-                head.dedup();
-                if !mfis.subsumed(&head) {
-                    fpmax(&cond, prefix, minsup, mfis);
-                }
+            // Head pruning: the largest set this branch can produce,
+            // checked before the conditional tree is built.
+            let mut head = prefix.clone();
+            head.extend(order.iter().map(|&(r, _)| tree.item_of(r as usize)));
+            if !mfis.subsumed(&sorted(head)) {
+                let cond = tree.conditional_from(rank, &order, scratch);
+                fpmax(&cond, prefix, minsup, mfis, scratch);
             }
         }
         prefix.pop();
@@ -283,6 +275,61 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        /// Bags shaped like datagen's output: each is a corrupted copy of
+        /// one of a few template bags (one per person) — items dropped,
+        /// items swapped for random ones — over an alphabet of up to 40
+        /// items, up to 40 bags.
+        /// Many bags share most of their items, the case where conditional
+        /// trees branch late and the MFI set fills with near-duplicates.
+        struct DuplicateHeavy;
+
+        impl Strategy for DuplicateHeavy {
+            type Value = Vec<Vec<u32>>;
+
+            fn generate(&self, rng: &mut StdRng) -> Vec<Vec<u32>> {
+                let alphabet = rng.gen_range(2u32..=40);
+                let template = |rng: &mut StdRng| -> Vec<u32> {
+                    (0..rng.gen_range(1..=10)).map(|_| rng.gen_range(0..alphabet)).collect()
+                };
+                let templates: Vec<Vec<u32>> =
+                    (0..rng.gen_range(1..=4)).map(|_| template(rng)).collect();
+                (0..rng.gen_range(0..=40))
+                    .map(|_| {
+                        let template = &templates[rng.gen_range(0..templates.len())];
+                        let mut bag: Vec<u32> = Vec::new();
+                        for &item in template {
+                            if rng.gen_bool(0.1) {
+                                continue;
+                            }
+                            let swapped = rng.gen_bool(0.1);
+                            bag.push(if swapped { rng.gen_range(0..alphabet) } else { item });
+                        }
+                        if rng.gen_bool(0.3) {
+                            bag.push(rng.gen_range(0..alphabet));
+                        }
+                        bag
+                    })
+                    .collect()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn agrees_with_reference_on_duplicate_heavy_bags(
+                bags in DuplicateHeavy,
+                minsup in 2u64..6,
+            ) {
+                prop_assert_eq!(
+                    mine_maximal(&bags, minsup),
+                    maximal_reference(&bags, minsup),
+                    "bags={:?} minsup={}", bags, minsup
+                );
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
